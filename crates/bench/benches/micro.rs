@@ -35,6 +35,39 @@ fn pm_primitives(c: &mut Criterion) {
             pool.persist(4096 + i, 8);
         })
     });
+    // FPTree's fingerprint probe: one 64-byte read at an 8-aligned,
+    // line-straddling offset.
+    g.bench_function("read_bytes_64", |b| {
+        let mut fps = [0u8; 64];
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 64) % (8 << 20);
+            pool.read_bytes(4096 + 24 + i, &mut fps);
+            fps[0]
+        })
+    });
+    // FPTree's insert commit: key, value and fingerprint stores each
+    // flushed, one fence, then the bitmap store persisted (4 stores,
+    // 4 clwb, 2 fences).
+    g.bench_function("persist_record", |b| {
+        const LEAF: u64 = 1152; // 64-entry leaf, rounded to lines
+        let (fp_off, keys_off, vals_off) = (24, 88, 88 + 8 * 64);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let leaf = 4096 + (i / 64 * LEAF) % (8 << 20);
+            let slot = i % 64;
+            pool.write_u64(leaf + keys_off + 8 * slot, i);
+            pool.write_u64(leaf + vals_off + 8 * slot, i);
+            pool.write_bytes(leaf + fp_off + slot, &[i as u8]);
+            pool.clwb(leaf + keys_off + 8 * slot, 8);
+            pool.clwb(leaf + vals_off + 8 * slot, 8);
+            pool.clwb(leaf + fp_off + slot, 1);
+            pool.sfence();
+            pool.write_u64(leaf, i);
+            pool.persist(leaf, 8);
+        })
+    });
     g.finish();
 }
 

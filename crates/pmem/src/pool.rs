@@ -47,14 +47,35 @@ unsafe impl PmSafe for [u64; 4] {}
 /// reads. 512 blocks × 256 B = 128 KiB of modelled cache per thread.
 const BLOCK_CACHE_SLOTS: usize = 512;
 
-thread_local! {
-    /// Direct-mapped cache of recently touched media blocks, tagged with
-    /// the owning pool id so multiple pools do not alias. Entry format:
-    /// `(pool_id << 40) | (block + 1)`; 0 means empty.
-    static BLOCK_CACHE: Cell<[u64; BLOCK_CACHE_SLOTS]> = const { Cell::new([0; BLOCK_CACHE_SLOTS]) };
-    /// Last media block touched by this thread (for the sequential-access
+/// Per-thread model of which media blocks the CPU caches hold. Tags are
+/// `(pool_id << 40) | (block + 1)` so multiple pools do not alias; 0
+/// means empty. Every slot is its own `Cell`, so an access updates the
+/// one slot it maps to in place.
+struct BlockCache {
+    /// Direct-mapped cache of recently touched media blocks.
+    slots: [Cell<u64>; BLOCK_CACHE_SLOTS],
+    /// Last media block this thread read (for the sequential-access
     /// latency discount), same tag format.
-    static LAST_BLOCK: Cell<u64> = const { Cell::new(0) };
+    last: Cell<u64>,
+}
+
+impl BlockCache {
+    /// Install `tag` in the slot block `block` maps to; returns whether
+    /// the slot held something else (a modelled cache miss).
+    #[inline]
+    fn fill(&self, block: u64, tag: u64) -> bool {
+        let slot = &self.slots[(block as usize) & (BLOCK_CACHE_SLOTS - 1)];
+        slot.replace(tag) != tag
+    }
+}
+
+thread_local! {
+    static BLOCK_CACHE: BlockCache = const {
+        BlockCache {
+            slots: [const { Cell::new(0) }; BLOCK_CACHE_SLOTS],
+            last: Cell::new(0),
+        }
+    };
 }
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -214,21 +235,17 @@ impl PmPool {
         let mut missed = 0u64;
         let mut sequential = true;
         BLOCK_CACHE.with(|cache| {
-            let mut c = cache.get();
-            let last = LAST_BLOCK.with(|l| l.get());
+            let last = cache.last.get();
             for b in first..first + nblocks {
                 let tag = self.block_tag(b);
-                let slot = (b as usize) & (BLOCK_CACHE_SLOTS - 1);
-                if c[slot] != tag {
-                    c[slot] = tag;
+                if cache.fill(b, tag) {
                     missed += 1;
                     if tag != last && tag != last + 1 {
                         sequential = false;
                     }
                 }
             }
-            LAST_BLOCK.with(|l| l.set(self.block_tag(first + nblocks - 1)));
-            cache.set(c);
+            cache.last.set(self.block_tag(first + nblocks - 1));
         });
         self.stats.count_read(len as u64, missed);
         obs::pm_read(off, len, missed * MEDIA_BLOCK as u64);
@@ -249,11 +266,9 @@ impl PmPool {
         let first = Self::media_block_of(off);
         let nblocks = Self::blocks_in(off, len);
         BLOCK_CACHE.with(|cache| {
-            let mut c = cache.get();
             for b in first..first + nblocks {
-                c[(b as usize) & (BLOCK_CACHE_SLOTS - 1)] = self.block_tag(b);
+                cache.fill(b, self.block_tag(b));
             }
-            cache.set(c);
         });
         self.stats.count_write(len as u64);
         obs::pm_write(off, len);
@@ -830,6 +845,22 @@ impl PmPool {
         self.persisted[w].store(v, Ordering::Relaxed);
     }
 
+    /// Persist the aligned cache line at `line_off` into the persisted
+    /// image: clear its 8 dirty bits in one RMW (a line never straddles
+    /// a bitmap atom), then copy its words. Returns whether any word was
+    /// dirty.
+    #[inline]
+    fn persist_line(&self, line_off: u64) -> bool {
+        let w0 = (line_off / 8) as usize;
+        let mask = 0xFFu64 << (w0 % 64);
+        let was = self.dirty[w0 / 64].fetch_and(!mask, Ordering::Relaxed) & mask;
+        for w in w0..w0 + CACHELINE / 8 {
+            let v = self.cpu[w].load(Ordering::Relaxed);
+            self.persisted[w].store(v, Ordering::Relaxed);
+        }
+        was != 0
+    }
+
     /// Eviction chaos: maybe spontaneously persist the word just written.
     #[inline]
     fn maybe_evict(&self, off: u64) {
@@ -931,9 +962,17 @@ impl PmPool {
             return;
         }
         self.account_read(off, dst.len());
-        for (o, byte) in (off..).zip(dst.iter_mut()) {
+        // One word load per touched word; the first and last word may
+        // contribute only some of their bytes.
+        let mut o = off;
+        let mut i = 0usize;
+        while i < dst.len() {
             let w = self.cpu[(o / 8) as usize].load(Ordering::Relaxed);
-            *byte = (w >> ((o % 8) * 8)) as u8;
+            let skip = (o % 8) as usize;
+            let n = (8 - skip).min(dst.len() - i);
+            dst[i..i + n].copy_from_slice(&w.to_le_bytes()[skip..skip + n]);
+            o += n as u64;
+            i += n;
         }
     }
 
@@ -1051,15 +1090,16 @@ impl PmPool {
         }
         let start = off & !(CACHELINE as u64 - 1);
         let end = crate::align_up(off + len as u64, CACHELINE as u64).min(self.len as u64);
-        // Durability audit: a write-back whose lines are all already
-        // clean did no useful work (pmemcheck's "redundant flush").
-        if !self.range_has_dirty_line(start, end) {
-            self.stats.count_clwb_redundant();
+        let mut any_dirty = false;
+        let mut line = start;
+        while line < end {
+            any_dirty |= self.persist_line(line);
+            line += CACHELINE as u64;
         }
-        let mut o = start;
-        while o < end {
-            self.persist_word(o);
-            o += 8;
+        // Durability audit: a write-back whose lines were all already
+        // clean did no useful work (pmemcheck's "redundant flush").
+        if !any_dirty {
+            self.stats.count_clwb_redundant();
         }
         let blocks = Self::blocks_in(start, (end - start) as usize);
         self.stats.count_media_write(blocks);
@@ -1763,6 +1803,193 @@ mod tests {
         assert_eq!(p.read_u64(ROOT_AREA + 128), 0, "scrub zero-fills");
         p.crash();
         assert_eq!(p.read_u64(ROOT_AREA + 128), 0, "scrub reaches media");
+    }
+
+    // ----- block-cache model ---------------------------------------------
+
+    /// Media blocks read so far: every modelled cache miss reads one.
+    fn blocks_read(p: &PmPool) -> u64 {
+        p.stats().media_read_bytes / MEDIA_BLOCK as u64
+    }
+
+    /// Offset of media block `block` (cache slot `block % 512`).
+    fn block_at(block: u64) -> u64 {
+        block * MEDIA_BLOCK as u64
+    }
+
+    #[test]
+    fn block_cache_rereading_a_block_hits() {
+        let p = pool(1 << 20);
+        let b = block_at(100);
+        p.read_u64(b);
+        p.read_u64(b + 8);
+        p.read_u64(b + 248);
+        assert_eq!(blocks_read(&p), 1);
+    }
+
+    #[test]
+    fn block_cache_blocks_one_cache_size_apart_evict_each_other() {
+        let p = pool(1 << 20);
+        let b = block_at(7);
+        let alias = block_at(7 + BLOCK_CACHE_SLOTS as u64);
+        p.read_u64(b);
+        p.read_u64(alias);
+        p.read_u64(b);
+        assert_eq!(blocks_read(&p), 3, "same slot: each read evicts the other");
+        p.read_u64(b);
+        assert_eq!(blocks_read(&p), 3);
+    }
+
+    #[test]
+    fn block_cache_does_not_alias_across_pools() {
+        let a = pool(1 << 16);
+        let b = pool(1 << 16);
+        let off = block_at(20);
+        a.read_u64(off);
+        b.read_u64(off);
+        assert_eq!(
+            blocks_read(&b),
+            1,
+            "pool a's resident block is no hit for b"
+        );
+        b.read_u64(off);
+        assert_eq!(blocks_read(&b), 1);
+        // Both map to one slot, so b's fill evicted a's block.
+        a.read_u64(off);
+        assert_eq!(blocks_read(&a), 2);
+    }
+
+    #[test]
+    fn block_cache_is_per_thread() {
+        let p = pool(1 << 16);
+        let off = block_at(30);
+        p.read_u64(off);
+        p.read_u64(off);
+        assert_eq!(blocks_read(&p), 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                p.read_u64(off);
+                p.read_u64(off);
+            });
+        });
+        assert_eq!(blocks_read(&p), 2, "a second thread starts cold");
+    }
+
+    #[test]
+    fn block_cache_write_allocates() {
+        let p = pool(1 << 16);
+        let off = block_at(40);
+        p.write_u64(off + 16, 1);
+        p.read_u64(off);
+        assert_eq!(blocks_read(&p), 0, "a written block is resident");
+        // A multi-block write allocates every block it touches.
+        p.write_bytes(block_at(50) + 200, &[7u8; 100]);
+        p.read_u64(block_at(50));
+        p.read_u64(block_at(51));
+        assert_eq!(blocks_read(&p), 0);
+    }
+
+    #[test]
+    fn block_cache_counts_every_block_a_read_spans() {
+        let p = pool(1 << 16);
+        let mut buf = [0u8; 8];
+        p.read_bytes(block_at(61) - 4, &mut buf);
+        assert_eq!(blocks_read(&p), 2);
+        let mut big = [0u8; 600];
+        p.read_bytes(block_at(70) + 100, &mut big); // blocks 70, 71, 72
+        assert_eq!(blocks_read(&p), 5);
+        // Only the block not yet resident misses.
+        p.read_bytes(block_at(72) + 8, &mut big); // blocks 72, 73, 74
+        assert_eq!(blocks_read(&p), 7);
+    }
+
+    // ----- byte copies and line persistence --------------------------------
+
+    #[test]
+    fn byte_roundtrip_at_every_alignment_and_short_length() {
+        let p = pool(8192);
+        let base = ROOT_AREA;
+        for align in 0..8u64 {
+            for len in 1..=24usize {
+                // Background pattern around the target range.
+                let mut model: Vec<u8> = (0..48u8).map(|b| b ^ 0xA5).collect();
+                for (w, chunk) in model.chunks(8).enumerate() {
+                    p.write_u64(
+                        base + w as u64 * 8,
+                        u64::from_le_bytes(chunk.try_into().unwrap()),
+                    );
+                }
+                let src: Vec<u8> = (0..len)
+                    .map(|j| (align as u8 * 31) ^ (j as u8 + 1))
+                    .collect();
+                let at = 8 + align as usize;
+                p.write_bytes(base + at as u64, &src);
+                model[at..at + len].copy_from_slice(&src);
+                let mut exact = vec![0u8; len];
+                p.read_bytes(base + at as u64, &mut exact);
+                assert_eq!(exact, src, "align {align} len {len}");
+                // Every window start/length over the region reads the model.
+                for start in 0..16usize {
+                    let mut got = vec![0u8; len + 8];
+                    p.read_bytes(base + start as u64, &mut got);
+                    assert_eq!(
+                        got,
+                        model[start..start + len + 8],
+                        "align {align} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clwb_clears_exactly_the_covered_lines() {
+        let p = pool(8192);
+        let base = ROOT_AREA;
+        let line = |i: u64| base + i * CACHELINE as u64;
+        // Two dirty words in each of six consecutive lines.
+        for i in 0..6 {
+            p.write_u64(line(i) + 8, i);
+            p.write_u64(line(i) + 56, i);
+        }
+        assert_eq!(p.dirty_word_count(), 12);
+        // Partial range inside line 1 flushes all of line 1, nothing else.
+        p.clwb(line(1) + 10, 5);
+        assert_eq!(
+            p.dirty_line_offsets(8),
+            vec![line(0), line(2), line(3), line(4), line(5)]
+        );
+        // Unaligned multi-line range [line2 + 60, line4 + 60) covers 2..=4.
+        p.clwb(line(2) + 60, 2 * CACHELINE);
+        assert_eq!(p.dirty_line_offsets(8), vec![line(0), line(5)]);
+        assert_eq!(p.dirty_word_count(), 4);
+        p.crash();
+        for i in 1..5 {
+            assert_eq!(p.read_u64(line(i) + 8), i, "flushed line {i} persisted");
+            assert_eq!(p.read_u64(line(i) + 56), i);
+        }
+        assert_eq!(p.read_u64(line(5) + 8), 0, "unflushed line vanished");
+    }
+
+    #[test]
+    fn redundant_clwb_audit_over_multi_line_ranges() {
+        let p = pool(8192);
+        let base = ROOT_AREA;
+        p.write_u64(base + 64, 1); // only the middle of three lines dirty
+        p.clwb(base, 3 * CACHELINE);
+        assert_eq!(
+            p.stats().clwb_redundant,
+            0,
+            "one dirty line makes it useful"
+        );
+        p.clwb(base, 3 * CACHELINE);
+        p.clwb(base + 100, 1);
+        assert_eq!(p.stats().clwb_redundant, 2, "all lines clean: redundant");
+        p.write_u64(base + 128, 2);
+        p.clwb(base + 60, 80); // lines 0..=2, line 2 dirty
+        let s = p.stats();
+        assert_eq!((s.clwb, s.clwb_redundant), (4, 2));
+        assert_eq!(s.media_write_bytes, 4 * MEDIA_BLOCK as u64);
     }
 
     #[test]
